@@ -16,6 +16,11 @@ at different epochs share timeline snapshots.
 
 Answers are compared on ``reached`` exactly and on ``checksum`` (the
 sum of the finite values) to within a relative 1e-12.
+
+The fixpoint itself is compiled (``fixpoint.c``) because the check runs
+inside every benchmark run: on a 2-vCPU host a numpy Bellman-Ford over
+all sources of one (algorithm, snapshot) at once took 11-25 s for
+``cold-read``'s 40 solves of 400 sources, the C loop 0.9 s.
 """
 
 from __future__ import annotations

@@ -68,6 +68,21 @@ def _coordinator_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def merge_answers(into: dict, answers: dict) -> dict:
+    """Add ``answers`` to ``into``; both map ``(epoch, algo, source)`` to
+    ``{answer: number of queries that got it}``."""
+    for key, seen in answers.items():
+        bucket = into.setdefault(key, {})
+        for got, n in seen.items():
+            bucket[got] = bucket.get(got, 0) + n
+    return into
+
+
+def wrong_queries(answers: dict, mismatches) -> int:
+    """Queries that got a mismatching answer (warm-up queries included)."""
+    return sum(answers[key][got] for key, got, _ in mismatches)
+
+
 class Service:
     """The calls the loop needs, over a QueryService or a sharded front end."""
 
@@ -206,7 +221,7 @@ def main(argv=None) -> int:
     import layers
     import reference
     import workloads as W
-    from repro.experiments.runner import scenario_cache
+    from repro.experiments.runner import clear_caches, scenario_cache
     from repro.perf.backend import resolve_backend
 
     if args.workload not in W.WORKLOADS:
@@ -220,10 +235,12 @@ def main(argv=None) -> int:
 
     recorder = layers.install() if args.trace else None
     wal_dir = build_dir / "work" / f"{workload.name}-{os.getpid()}"
-    setup_s, warm = [], {}
+    setup_s, warm, warm_queries = [], {}, 0
     svc = None
     try:
         for i in range(SETUPS):
+            # every setup loads the graph afresh, as a service start does
+            clear_caches()
             t0 = time.monotonic()
             svc = workload.start(str(wal_dir))
             loop = Loop(Service(svc), W.GRAPH)
@@ -231,7 +248,8 @@ def main(argv=None) -> int:
             setup_s.append(time.monotonic() - t0)
             if loop.query_failures:
                 raise RuntimeError("warm-up query failed")
-            warm = loop.answers
+            merge_answers(warm, loop.answers)
+            warm_queries += loop.queries
             if i < SETUPS - 1:
                 svc.stop()
                 svc = None
@@ -270,12 +288,9 @@ def main(argv=None) -> int:
             svc.stop(timeout=30)
         shutil.rmtree(wal_dir, ignore_errors=True)
 
-    answers = loop.answers
-    for key, seen in warm.items():
-        for got in seen:
-            answers.setdefault(key, {}).setdefault(got, 0)
+    answers = merge_answers(warm, loop.answers)
     mismatches = reference.check_answers(timeline, answers)
-    wrong = sum(answers[key][got] for key, got, _ in mismatches)
+    wrong = wrong_queries(answers, mismatches)
     for key, got, want in mismatches[:5]:
         print(f"mismatch {key}: got {got} expected {want}", file=sys.stderr)
 
@@ -293,7 +308,8 @@ def main(argv=None) -> int:
     failed = loop.query_failures + loop.ingest_failures + wrong
     print(
         f"{workload.name} seed {args.seed}: kernel tier {tier}; "
-        f"queries {loop.queries} attempted, {loop.query_failures + wrong} failed; "
+        f"queries {warm_queries + loop.queries} attempted, "
+        f"{loop.query_failures + wrong} failed; "
         f"ingests {loop.ingests} attempted, {loop.ingest_failures} failed; "
         f"{sum(len(s) for s in answers.values())} distinct answers checked, "
         f"{len(mismatches)} wrong; measured {wall:.2f} s; "
@@ -311,7 +327,7 @@ def main(argv=None) -> int:
         metrics = {k: {"value": v, "unit": u} for k, (v, u) in e2e.items()}
     print(json.dumps({
         "correct": not mismatches,
-        "attempted": loop.queries + loop.ingests,
+        "attempted": warm_queries + loop.queries + loop.ingests,
         "failed": failed,
         "metrics": metrics,
     }))

@@ -15,6 +15,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 import reference  # noqa: E402
+import run  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 N = 5
@@ -68,6 +69,20 @@ def test_slide_with_deletions():
         timeline, {(1, "SSSP", 0): {right: 1, stale: 1}}
     )
     assert mismatches == [((1, "SSSP", 0), stale, right)]
+
+
+def test_wrong_warm_up_answer_fails_the_run():
+    # warm-up answers are merged into the measured ones before the check;
+    # a wrong one must count as a failed query even if no measured query
+    # repeated it.  SSSP from 0 on one snapshot: [0, 2, 3, 6, inf]
+    right, wrong = ((4, 11.0),), ((4, 12.0),)
+    answers = run.merge_answers(
+        {(0, "SSSP", 0): {wrong: 1}}, {(0, "SSSP", 0): {right: 3}, (0, "BFS", 0): {((4, 4.0),): 2}}
+    )
+    assert answers[(0, "SSSP", 0)] == {wrong: 1, right: 3}
+    mismatches = reference.check_answers(reference.Timeline([edges(EDGES)], []), answers)
+    assert [(key, got) for key, got, _ in mismatches] == [((0, "SSSP", 0), wrong)]
+    assert run.wrong_queries(answers, mismatches) == 1
 
 
 def test_invalid_delta_is_refused():

@@ -25,11 +25,6 @@ ALGOS = ("BFS", "SSSP", "SSWP", "SSNP", "Viterbi")
 WORKERS = 2
 BURST = 8
 OUTSTANDING = 2
-ZIPF = 1.1
-#: seeds the Zipf popularity order of the vertices; it is the same for
-#: every run, so the hot sources (and the cost of serving them) do not
-#: depend on --seed, which draws the sequence itself
-POPULARITY_SEED = 12345
 #: sliding-window checkpoint cadence of slide-ingest (ingests)
 SLIDE_EVERY = 8
 #: read-only workloads end with this many ingests, each followed by one
@@ -39,7 +34,7 @@ TAIL_INGESTS = 40
 #: calibration of the fixed work to --seconds on a 2-CPU host; the read
 #: workloads run whole rounds of all (algorithm, source) pairs
 READ_QUERIES_PER_S = {"cold-read": 390.0, "sharded-read": 92.0}
-EPOCHS_PER_S = {"live-ingest": 25.0, "slide-ingest": 25.0}
+EPOCHS_PER_S = {"live-ingest": 33.0, "slide-ingest": 11.0}
 
 
 @dataclass(frozen=True)
@@ -122,19 +117,23 @@ def _all_pairs(rng) -> list[Burst]:
 def _zipf_bursts(rng, n: int, seed: int) -> list[Burst]:
     """``n`` bursts of Zipf-repeated sources, one ingest before each.
 
-    Source popularity follows a Zipf law of exponent ``ZIPF`` over a fixed
-    permutation of the vertices; algorithms rotate from a seeded offset so
-    each gets an equal share.
+    Sources follow the repository's own serving traffic model
+    (``repro.service.loadgen``): a Zipf law of exponent ``LoadSpec.zipf_s``
+    over the ``LoadSpec.n_sources`` top-degree vertices of the common
+    graph, the most popular first.  The pool depends only on the graph, so
+    the hot sources (and the cost of serving them) do not depend on
+    ``--seed``, which draws the sequence.  Algorithms rotate from a seeded
+    offset so each gets an equal share.
     """
-    ranks = np.arange(1, N_VERTICES + 1, dtype=np.float64)
-    weights = ranks ** -ZIPF
-    weights /= weights.sum()
-    popular = np.random.default_rng(POPULARITY_SEED).permutation(N_VERTICES)
+    from repro.service.loadgen import LoadSpec, _source_pool, _zipf_weights
+
+    pool = np.array(_source_pool(GRAPH, SCALE, N_SNAPSHOTS, LoadSpec.n_sources))
+    weights = _zipf_weights(pool.size, LoadSpec.zipf_s)
     offset = int(rng.integers(len(ALGOS)))
     return [
         Burst(
             ALGOS[(offset + i) % len(ALGOS)],
-            tuple(int(s) for s in popular[rng.choice(N_VERTICES, BURST, p=weights)]),
+            tuple(int(s) for s in pool[rng.choice(pool.size, BURST, p=weights)]),
             ingest_seed=(seed * 1_000_003 + i) % 2**31,
         )
         for i in range(n)
