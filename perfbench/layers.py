@@ -30,7 +30,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["Recorder", "install", "watch_scatter", "layer_metrics", "format_report", "unit"]
+__all__ = ["Recorder", "install", "layer_metrics", "format_report", "unit"]
 
 
 @dataclass
@@ -57,7 +57,6 @@ class PlanRecord:
     worker_end: float
     returned: float
     payload_bytes: int
-    relaxed_edges: int
 
 
 class Recorder:
@@ -69,7 +68,6 @@ class Recorder:
         self.spans: list[Span] = []
         self.plans: list[PlanRecord] = []
         self.unattributed = 0
-        self.samples: dict[str, list[float]] = {}
         self._lock = threading.Lock()
         self._local = threading.local()
         #: worker-side buffer, drained into each PlanResult
@@ -111,11 +109,6 @@ class Recorder:
 
         return wrap
 
-    def sample(self, name: str, value: float) -> None:
-        if self.enabled:
-            with self._lock:
-                self.samples.setdefault(name, []).append(value)
-
     def plan_done(self, kind, submitted, payload_bytes, future) -> None:
         returned = time.monotonic()
         if not self.enabled:
@@ -130,7 +123,7 @@ class Recorder:
                 PlanRecord(
                     kind, result.worker_pid, submitted,
                     result.worker_start_mono, result.worker_end_mono,
-                    returned, payload_bytes, int(result.relaxed_edges),
+                    returned, payload_bytes,
                 )
             )
             for span in spans:
@@ -149,7 +142,6 @@ def install() -> Recorder:
     """Wrap the serving layers; call before any service is constructed."""
     from repro.core import multi_query, window_server
     from repro.service import batcher, cache, core, pool, shm, wal
-    from repro.service.sharding import frontend, partial
 
     rec = Recorder()
 
@@ -162,8 +154,7 @@ def install() -> Recorder:
             rec.span(layer, name or attr, info_fn)(getattr(module, attr)),
         )
 
-    coalesce = rec.span("batcher", "coalesce")(batcher.coalesce)
-    core.coalesce = frontend.coalesce = coalesce
+    core.coalesce = rec.span("batcher", "coalesce")(batcher.coalesce)
     patch(cache.ResultCache, "invalidate_graph", "cache",
           info_fn=lambda a, k, out: {"dropped": out})
     patch(cache.ResultCache, "rebase_graph", "cache",
@@ -180,9 +171,6 @@ def install() -> Recorder:
     patch(multi_query, "evaluate_multi_query", "engine", "eval", count("sources"))
     patch(window_server.WindowServer, "__init__", "window", "build")
     patch(window_server.WindowServer, "advance", "window")
-    patch(partial, "scatter_relax", "sharding")
-    patch(core.QueryService, "submit_scatter", "sharding", info_fn=lambda a, k, out: {
-        "frontier": k["frontier"].n_additions})
 
     run = pool._worker_run
 
@@ -200,7 +188,7 @@ def install() -> Recorder:
     @functools.wraps(submit)
     def pool_submit(self, payload):
         submitted = time.monotonic()
-        traced = rec.enabled and payload.kind in ("plan", "scatter")
+        traced = rec.enabled and payload.kind == "plan"
         size = len(pickle.dumps(payload)) if traced else 0
         future = submit(self, payload)
         if traced:
@@ -211,22 +199,6 @@ def install() -> Recorder:
 
     pool.WorkerPool.submit = pool_submit
     return rec
-
-
-def watch_scatter(rec: Recorder, front_end) -> None:
-    """Capture the raw scatter/gather stage samples of a sharded front
-    end (its histograms keep only bucket counts)."""
-    for name, hist in (
-        ("scatter", front_end._scatter_hist),
-        ("gather", front_end._gather_hist),
-    ):
-        observe = hist.observe
-
-        def observed(value, _observe=observe, _name=name):
-            rec.sample(_name, value * 1e3)
-            _observe(value)
-
-        hist.observe = observed
 
 
 def unit(name: str) -> str:
@@ -247,8 +219,8 @@ def layer_metrics(rec: Recorder, counters: dict, wall_s: float, workers: int) ->
     """The per-layer metrics named in BENCHMARK.json.
 
     ``counters`` holds the service-side deltas over the measured phase:
-    plans, plan_queries, cache_hits, cache_misses, ingests, scatter
-    rounds, stable/total slide vertices, and the admit-wait samples.
+    plans, plan_queries, cache_hits, cache_misses, ingests, stable/total
+    slide vertices, and the admit-wait samples.
     """
     coord = rec.coordinator_pid
 
@@ -263,7 +235,6 @@ def layer_metrics(rec: Recorder, counters: dict, wall_s: float, workers: int) ->
         return [s.ms for s in items]
 
     plans = rec.plans
-    scatter_plans = [p for p in plans if p.kind == "scatter"]
     busy = [(p.worker_end - p.worker_start) * 1e3 for p in plans]
     ingests = counters["ingests"]
     cache_ops = spans("cache", "invalidate_graph") + spans("cache", "rebase_graph")
@@ -274,9 +245,6 @@ def layer_metrics(rec: Recorder, counters: dict, wall_s: float, workers: int) ->
     compacts = spans("wal", "compact")
     builds = spans("window", "build")
     advances = spans("window", "advance")
-    frontier = sum(
-        s.info.get("frontier", 0) for s in spans("sharding", "submit_scatter")
-    )
     out = {
         "batcher.admit_wait_p50_ms": _p50(counters["admit_wait_ms"]),
         "batcher.queries_per_plan": (
@@ -326,18 +294,6 @@ def layer_metrics(rec: Recorder, counters: dict, wall_s: float, workers: int) ->
             counters["stable_vertices"] / counters["slide_vertices"]
             if counters["slide_vertices"] else 0.0
         ),
-        "sharding.rounds_per_plan": (
-            counters["scatter_rounds"] / counters["plans"]
-            if scatter_plans and counters["plans"] else 0.0
-        ),
-        "sharding.scatter_p50_ms": _p50(rec.samples.get("scatter", [])),
-        "sharding.gather_p50_ms": _p50(rec.samples.get("gather", [])),
-        "sharding.frontier_triples": frontier,
-        "sharding.subplan_kb_mean": (
-            statistics.fmean(p.payload_bytes for p in scatter_plans) / 1024
-            if scatter_plans else 0.0
-        ),
-        "sharding.relaxed_edges": sum(p.relaxed_edges for p in scatter_plans),
     }
     return out
 

@@ -19,8 +19,9 @@ sum of the finite values) to within a relative 1e-12.
 
 The fixpoint itself is compiled (``fixpoint.c``) because the check runs
 inside every benchmark run: on a 2-vCPU host a numpy Bellman-Ford over
-all sources of one (algorithm, snapshot) at once took 11-25 s for
-``cold-read``'s 40 solves of 400 sources, the C loop 0.9 s.
+all sources of one (algorithm, snapshot) at once took 11-25 s for the
+40 solves of 400 sources that one round of every (algorithm, source)
+pair needs, the C loop 0.9 s.
 """
 
 from __future__ import annotations

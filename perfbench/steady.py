@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Steadiness check for the serving benchmark.
 
-    python3 perfbench/steady.py --runs 10 [--workloads cold-read,live-ingest] [--trace]
+    python3 perfbench/steady.py --runs 10 [--workloads live-ingest,slide-ingest] [--trace]
 
 Makes two sets, A and B, of ``--runs`` untraced runs of every workload,
 each run with its own seed (set A seeds ``--first-seed`` onwards, set B

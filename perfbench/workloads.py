@@ -1,12 +1,12 @@
-"""The four serving workloads and their seeded traffic.
+"""The two serving workloads and their seeded traffic.
 
-Every workload serves PK at scale ``small`` with 8 snapshots, a WAL with
-``fsync=always`` and 2 pool workers in total.  Traffic is a fixed list
-of bursts; a burst is one algorithm and up to ``BURST`` sources, and in
-the ingest workloads one seeded ingest comes before each burst.  The
+Both serve PK at scale ``small`` with 8 snapshots, a WAL with
+``fsync=always`` and 2 pool workers.  Traffic is a fixed list of bursts;
+a burst is one algorithm and up to ``BURST`` sources, with one seeded
+ingest before it.  The
 amount of traffic is a fixed function of ``--seconds`` (calibrated so
-that a run measures about that long on a 2-CPU host), never of elapsed
-time, so every run with the same arguments does the same work.
+that a run measures a little under that long on a 2-CPU host), never of
+elapsed time, so every run with the same arguments does the same work.
 """
 
 from __future__ import annotations
@@ -20,21 +20,19 @@ import numpy as np
 GRAPH = "PK"
 SCALE = "small"
 N_SNAPSHOTS = 8
-N_VERTICES = 400
 ALGOS = ("BFS", "SSSP", "SSWP", "SSNP", "Viterbi")
 WORKERS = 2
 BURST = 8
 OUTSTANDING = 2
 #: sliding-window checkpoint cadence of slide-ingest (ingests)
 SLIDE_EVERY = 8
-#: read-only workloads end with this many ingests, each followed by one
-#: burst that is answered before the next ingest; they supply the ingest
-#: and fresh-read figures of those workloads
-TAIL_INGESTS = 40
-#: calibration of the fixed work to --seconds on a 2-CPU host; the read
-#: workloads run whole rounds of all (algorithm, source) pairs
-READ_QUERIES_PER_S = {"cold-read": 390.0, "sharded-read": 92.0}
-EPOCHS_PER_S = {"live-ingest": 33.0, "slide-ingest": 11.0}
+#: every run ends with this many ingests, each followed by one
+#: single-query burst that is answered before the next ingest; they
+#: supply the ingest latency, taken while no query computes beside it
+TAIL_INGESTS = 80
+#: calibration of the fixed work to --seconds on a 2-CPU host (the cost
+#: of an epoch grows with the delta log)
+EPOCHS_PER_S = {"live-ingest": 20.5, "slide-ingest": 8.5}
 
 
 @dataclass(frozen=True)
@@ -43,18 +41,13 @@ class Burst:
     sources: tuple[int, ...]
     #: seed of the ingest that precedes the burst (None = no ingest)
     ingest_seed: int | None = None
-    #: part of the measured phase (False for the read workloads' tail)
+    #: part of the measured phase (False for the tail)
     measured: bool = True
-    #: first burst of a repeated round: the loop drains and clears the
-    #: result cache first, so a repeated pair is computed again
-    new_round: bool = False
 
 
 @dataclass(frozen=True)
 class Workload:
     name: str
-    ingest: bool
-    shards: int = 1
     slide_every: int = 0
 
     def config(self, wal_dir: str):
@@ -63,7 +56,7 @@ class Workload:
         return ServiceConfig(
             scale=SCALE,
             n_snapshots=N_SNAPSHOTS,
-            workers=WORKERS // self.shards,
+            workers=WORKERS,
             max_batch=BURST,
             cache_size=4096,
             wal_dir=wal_dir,
@@ -73,49 +66,23 @@ class Workload:
 
     def start(self, wal_dir: str):
         """A started service for this workload over a fresh WAL dir."""
-        from repro.service import QueryService, ScatterGatherFrontEnd, ShardManager
+        from repro.service import QueryService
 
         shutil.rmtree(wal_dir, ignore_errors=True)
-        config = self.config(wal_dir)
-        if self.shards == 1:
-            return QueryService(config).start()
-        return ScatterGatherFrontEnd(ShardManager(self.shards, config)).start()
+        return QueryService(self.config(wal_dir)).start()
 
     def traffic(self, seed: int, seconds: float) -> list[Burst]:
-        rng = np.random.default_rng([seed, 1])
-        if not self.ingest:
-            # whole rounds, so every run computes the same pairs
-            rounds = max(1, round(seconds * READ_QUERIES_PER_S[self.name] / _ROUND))
-            bursts: list[Burst] = []
-            for i in range(rounds):
-                round_ = _all_pairs(rng)
-                if i:
-                    round_[0] = dataclasses.replace(round_[0], new_round=True)
-                bursts += round_
-            tail = _zipf_bursts(np.random.default_rng([seed, 2]), TAIL_INGESTS, seed)
-            return bursts + [dataclasses.replace(b, measured=False) for b in tail]
         epochs = max(1, round(seconds * EPOCHS_PER_S[self.name]))
-        return _zipf_bursts(rng, epochs, seed)
+        bursts = _zipf_bursts(np.random.default_rng([seed, 1]), epochs, seed)
+        tail = _zipf_bursts(
+            np.random.default_rng([seed, 2]), TAIL_INGESTS, seed, size=1, first=len(bursts)
+        )
+        return bursts + [dataclasses.replace(b, measured=False) for b in tail]
 
 
-_ROUND = len(ALGOS) * N_VERTICES
-
-
-def _all_pairs(rng) -> list[Burst]:
-    """One round: every (algorithm, source) pair once, in bursts of
-    ``BURST`` distinct sources of one algorithm, in seeded order."""
-    bursts = []
-    for algo in ALGOS:
-        perm = rng.permutation(N_VERTICES)
-        bursts += [
-            Burst(algo, tuple(int(s) for s in perm[i:i + BURST]))
-            for i in range(0, N_VERTICES, BURST)
-        ]
-    return [bursts[i] for i in rng.permutation(len(bursts))]
-
-
-def _zipf_bursts(rng, n: int, seed: int) -> list[Burst]:
-    """``n`` bursts of Zipf-repeated sources, one ingest before each.
+def _zipf_bursts(rng, n: int, seed: int, size: int = BURST, first: int = 0) -> list[Burst]:
+    """``n`` bursts of ``size`` Zipf-repeated sources, one ingest before each;
+    ingest ``first + i`` of the run precedes burst ``i``.
 
     Sources follow the repository's own serving traffic model
     (``repro.service.loadgen``): a Zipf law of exponent ``LoadSpec.zipf_s``
@@ -133,8 +100,8 @@ def _zipf_bursts(rng, n: int, seed: int) -> list[Burst]:
     return [
         Burst(
             ALGOS[(offset + i) % len(ALGOS)],
-            tuple(int(s) for s in pool[rng.choice(pool.size, BURST, p=weights)]),
-            ingest_seed=(seed * 1_000_003 + i) % 2**31,
+            tuple(int(s) for s in pool[rng.choice(pool.size, size, p=weights)]),
+            ingest_seed=(seed * 1_000_003 + first + i) % 2**31,
         )
         for i in range(n)
     ]
@@ -143,9 +110,7 @@ def _zipf_bursts(rng, n: int, seed: int) -> list[Burst]:
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("cold-read", ingest=False),
-        Workload("live-ingest", ingest=True),
-        Workload("slide-ingest", ingest=True, slide_every=SLIDE_EVERY),
-        Workload("sharded-read", ingest=False, shards=2),
+        Workload("live-ingest"),
+        Workload("slide-ingest", slide_every=SLIDE_EVERY),
     )
 }
